@@ -410,8 +410,7 @@ func BenchmarkLinkBestParallel(b *testing.B) {
 	}
 }
 
-// --- live-service benchmarks: incremental index maintenance and
-// streaming candidate scoring. ---
+// --- live-service benchmarks: incremental index maintenance. ---
 
 // BenchmarkUpsert is the cost of keeping a live engine current: one item
 // changes in the graph and gets re-indexed in place. Compare with
@@ -432,9 +431,9 @@ func BenchmarkUpsert(b *testing.B) {
 			se.Remove(rdf.T(item, pnProp, o))
 		}
 		se.Add(rdf.T(item, pnProp, rdf.NewLiteral(fmt.Sprintf("CRCW%04d-UP", i))))
-		eng.Upsert(linkage.ExternalSide, item)
+		eng.ApplyPatches([]linkage.IndexPatch{{Side: linkage.ExternalSide, Items: []rdf.Term{item}}})
 	}
-	if !eng.Fresh() {
+	if ext, _ := eng.Versions(); ext != se.Version() {
 		b.Fatal("engine stale after upserts")
 	}
 }
@@ -457,67 +456,6 @@ func BenchmarkUpsertFullRebuild(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkStreamPairs compares scoring a cross-product candidate space
-// that is materialized as a [][2]Term up front against streaming it
-// through the engine pair by pair. The allocs/op column is the point:
-// the streaming path never holds the candidate space.
-func BenchmarkStreamPairs(b *testing.B) {
-	se, sl, _, cfg := linkageBenchFixture(200, 200, 1)
-	cfg.Workers = 1
-	eng, err := linkage.New(cfg, se, sl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	exts := make([]rdf.Term, 200)
-	locs := make([]rdf.Term, 200)
-	for i := range exts {
-		exts[i] = rdf.NewIRI(fmt.Sprintf("http://ex.org/e/%d", i))
-		locs[i] = rdf.NewIRI(fmt.Sprintf("http://ex.org/l/%d", i))
-	}
-	nPairs := int64(len(exts) * len(locs))
-
-	b.Run("materialized", func(b *testing.B) {
-		b.SetBytes(nPairs)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			pairs := make([][2]rdf.Term, 0, nPairs)
-			for _, e := range exts {
-				for _, l := range locs {
-					pairs = append(pairs, [2]rdf.Term{e, l})
-				}
-			}
-			if len(eng.ScorePairs(pairs)) == 0 {
-				b.Fatal("no matches")
-			}
-		}
-	})
-	b.Run("stream", func(b *testing.B) {
-		b.SetBytes(nPairs)
-		b.ReportAllocs()
-		src := func(yield func([2]rdf.Term) bool) {
-			for _, e := range exts {
-				for _, l := range locs {
-					if !yield([2]rdf.Term{e, l}) {
-						return
-					}
-				}
-			}
-		}
-		for i := 0; i < b.N; i++ {
-			n := 0
-			if err := eng.StreamPairs(context.Background(), src, func(linkage.Match) bool {
-				n++
-				return true
-			}); err != nil {
-				b.Fatal(err)
-			}
-			if n == 0 {
-				b.Fatal("no matches")
-			}
-		}
-	})
 }
 
 // --- snapshot-isolation benchmarks: the cost of publishing a frozen

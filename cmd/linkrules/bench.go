@@ -40,7 +40,7 @@ import (
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	cf := addCorpusFlags(fs)
-	out := fs.String("out", "BENCH_10.json", "report file (- writes to stdout)")
+	out := fs.String("out", "-", "report file (- writes to stdout)")
 	smoke := fs.Bool("smoke", false, "tiny corpus and few iterations, for CI smoke runs")
 	queries := fs.Int("queries", 200, "timed link queries")
 	batch := fs.Int("batch", 64, "items per upsert request")

@@ -170,17 +170,19 @@ service:
                           -snapshot-every N); an existing store's state
                           wins over the corpus flags
 
-  bench -out FILE         run the benchmark corpus end-to-end through the
+  bench [-out FILE]       run the benchmark corpus end-to-end through the
                           service stack (upsert throughput, learn time,
                           link p50/p99, WAL append rate) and emit a
-                          machine-readable JSON report (-smoke for CI)
+                          machine-readable JSON report to stdout or FILE
+                          (-smoke for CI)
 
   loadgen -qps N          drive a service (in-process, or -addr HOST:PORT
                           for a running one) with a mixed open-loop
                           workload (-mix link=90,upsert=9,learn=1) for
                           -duration, diff its /metrics scrapes, and emit
-                          a JSON report; -slo-p99 MS makes a missed link
-                          p99 exit non-zero (-smoke for CI)
+                          a JSON report to stdout or -out FILE; -slo-p99
+                          MS makes a missed link p99 exit non-zero
+                          (-smoke for CI)
 
   version                 print build identity (also -version)
 

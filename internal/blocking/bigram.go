@@ -114,12 +114,12 @@ type recordKeys struct {
 
 // allIndexKeys computes every record's sub-list keys, fanned out across
 // bg.Workers goroutines (the key expansion dominates the method's cost).
-// Output order is input order regardless of the worker count. A
-// cancelled ctx stops mid-computation with ctx.Err().
-func (bg Bigram) allIndexKeys(ctx context.Context, records []Record) ([]recordKeys, error) {
-	return par.MapChunks(ctx, bg.Workers, 0, records, func(r Record) (recordKeys, bool) {
+// Output order is input order regardless of the worker count.
+func (bg Bigram) allIndexKeys(records []Record) []recordKeys {
+	out, _ := par.MapChunks(context.Background(), bg.Workers, 0, records, func(r Record) (recordKeys, bool) {
 		return recordKeys{id: r.ID, keys: bg.indexKeys(r.Key)}, true
 	})
+	return out
 }
 
 // probeBatch bounds how many external records' key expansions are alive
@@ -128,73 +128,30 @@ func (bg Bigram) allIndexKeys(ctx context.Context, records []Record) ([]recordKe
 // O(|external|).
 const probeBatch = 4096
 
-// probe indexes the local records and streams each external record's
-// candidates through yield, each (external, local) pair exactly once (a
-// per-record set collapses multi-key collisions), in input order. It is
-// the shared engine behind PairsCtx and Stream.
-func (bg Bigram) probe(ctx context.Context, external, local []Record, yield func(Pair) bool) error {
+// Pairs implements Method: the local records are indexed by their
+// sub-list keys, then each external record is probed against the index.
+func (bg Bigram) Pairs(external, local []Record) []Pair {
 	index := map[string][]string{}
-	locKeys, err := bg.allIndexKeys(ctx, local)
-	if err != nil {
-		return err
-	}
-	for _, rk := range locKeys {
+	for _, rk := range bg.allIndexKeys(local) {
 		for _, k := range rk.keys {
 			index[k] = append(index[k], rk.id)
 		}
 	}
+	ps := pairSet{}
 	for lo := 0; lo < len(external); lo += probeBatch {
 		hi := lo + probeBatch
 		if hi > len(external) {
 			hi = len(external)
 		}
-		extKeys, err := bg.allIndexKeys(ctx, external[lo:hi])
-		if err != nil {
-			return err
-		}
-		for _, rk := range extKeys {
-			seen := map[string]struct{}{}
+		for _, rk := range bg.allIndexKeys(external[lo:hi]) {
 			for _, k := range rk.keys {
 				for _, lid := range index[k] {
-					if _, dup := seen[lid]; dup {
-						continue
-					}
-					seen[lid] = struct{}{}
-					if !yield(Pair{A: rk.id, B: lid}) {
-						return nil
-					}
+					ps.add(rk.id, lid)
 				}
 			}
 		}
 	}
-	return nil
-}
-
-// PairsCtx is Pairs with cooperative cancellation: a cancelled ctx stops
-// the key expansion between chunks and returns ctx.Err() with no pairs.
-func (bg Bigram) PairsCtx(ctx context.Context, external, local []Record) ([]Pair, error) {
-	ps := pairSet{}
-	if err := bg.probe(ctx, external, local, func(p Pair) bool {
-		ps[p] = struct{}{}
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	return ps.slice(), nil
-}
-
-// Pairs implements Method.
-func (bg Bigram) Pairs(external, local []Record) []Pair {
-	out, _ := bg.PairsCtx(context.Background(), external, local)
-	return out
-}
-
-// Stream implements Streamer: candidates flow through yield as each
-// external record is probed against the local sub-list index, without
-// the sorted pair set ever materializing. Memory is O(local index +
-// one probe batch).
-func (bg Bigram) Stream(external, local []Record, yield func(Pair) bool) {
-	_ = bg.probe(context.Background(), external, local, yield)
+	return ps.slice()
 }
 
 // Name implements Method.
@@ -202,5 +159,3 @@ func (bg Bigram) Name() string {
 	threshold, _, q := bg.params()
 	return fmt.Sprintf("bigram(q=%d,t=%.2f)", q, threshold)
 }
-
-var _ Streamer = Bigram{}

@@ -35,17 +35,6 @@ type Method interface {
 	Name() string
 }
 
-// Streamer is implemented by methods that can emit their candidate pairs
-// one at a time, without materializing the full set — the input side of a
-// streaming matcher (linkage.Engine.StreamPairs). Implementations must
-// emit each pair exactly once and stop when yield returns false; the pair
-// set is the same as Pairs would return, in an implementation-defined but
-// deterministic order.
-type Streamer interface {
-	Method
-	Stream(external, local []Record, yield func(Pair) bool)
-}
-
 // Cartesian pairs every external record with every local record: the
 // |SE| × |SL| upper bound the paper starts from.
 type Cartesian struct{}
@@ -59,19 +48,6 @@ func (Cartesian) Pairs(external, local []Record) []Pair {
 		}
 	}
 	return out
-}
-
-// Stream implements Streamer: the full cross product flows through yield
-// in row-major order with O(1) memory — the canonical huge space a
-// streaming matcher must not materialize.
-func (Cartesian) Stream(external, local []Record, yield func(Pair) bool) {
-	for _, e := range external {
-		for _, l := range local {
-			if !yield(Pair{A: e.ID, B: l.ID}) {
-				return
-			}
-		}
-	}
 }
 
 // Name implements Method.

@@ -54,12 +54,10 @@ type canopyEntry struct {
 	grams    map[string]struct{}
 }
 
-// scan runs the canopy algorithm and calls yield for every cross-source
-// pair, globally deduplicated (overlapping canopies revisit pairs), in a
-// deterministic order. It is the shared engine behind PairsCtx and
-// Stream. A cancelled ctx stops between centers with ctx.Err(); yield
-// returning false stops cleanly.
-func (c Canopy) scan(ctx context.Context, external, local []Record, yield func(Pair) bool) error {
+// Pairs implements Method: it runs the canopy algorithm and collects
+// every cross-source pair inside a canopy, deduplicated across
+// overlapping canopies.
+func (c Canopy) Pairs(external, local []Record) []Pair {
 	loose, tight, q := c.params()
 
 	entryFor := func(ext bool) func(Record) (canopyEntry, bool) {
@@ -67,14 +65,8 @@ func (c Canopy) scan(ctx context.Context, external, local []Record, yield func(P
 			return canopyEntry{id: r.ID, external: ext, grams: gramSet(r.Key, q)}, true
 		}
 	}
-	extEntries, err := par.MapChunks(ctx, c.Workers, 0, external, entryFor(true))
-	if err != nil {
-		return err
-	}
-	locEntries, err := par.MapChunks(ctx, c.Workers, 0, local, entryFor(false))
-	if err != nil {
-		return err
-	}
+	extEntries, _ := par.MapChunks(context.Background(), c.Workers, 0, external, entryFor(true))
+	locEntries, _ := par.MapChunks(context.Background(), c.Workers, 0, local, entryFor(false))
 	entries := make([]canopyEntry, 0, len(external)+len(local))
 	entries = append(entries, extEntries...)
 	entries = append(entries, locEntries...)
@@ -98,13 +90,10 @@ func (c Canopy) scan(ctx context.Context, external, local []Record, yield func(P
 	for i := range active {
 		active[i] = true
 	}
-	emitted := pairSet{}
+	ps := pairSet{}
 	for i, center := range entries {
 		if !active[i] || len(center.grams) == 0 {
 			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return err
 		}
 		// Collect candidates sharing grams with the center.
 		seen := map[int]struct{}{}
@@ -132,45 +121,11 @@ func (c Canopy) scan(ctx context.Context, external, local []Record, yield func(P
 				if !ea.external || eb.external {
 					continue
 				}
-				p := Pair{A: ea.id, B: eb.id}
-				if _, dup := emitted[p]; dup {
-					continue
-				}
-				emitted[p] = struct{}{}
-				if !yield(p) {
-					return nil
-				}
+				ps.add(ea.id, eb.id)
 			}
 		}
 	}
-	return nil
-}
-
-// PairsCtx is Pairs with cooperative cancellation: a cancelled ctx stops
-// the gram-set fan-out and the center scan, returning ctx.Err() with no
-// pairs.
-func (c Canopy) PairsCtx(ctx context.Context, external, local []Record) ([]Pair, error) {
-	ps := pairSet{}
-	if err := c.scan(ctx, external, local, func(p Pair) bool {
-		ps[p] = struct{}{}
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	return ps.slice(), nil
-}
-
-// Pairs implements Method.
-func (c Canopy) Pairs(external, local []Record) []Pair {
-	out, _ := c.PairsCtx(context.Background(), external, local)
-	return out
-}
-
-// Stream implements Streamer: pairs flow through yield as canopies form.
-// Canopies overlap, so a dedup set of emitted pairs is retained — the
-// sorted pair slice is what Stream avoids materializing, not the set.
-func (c Canopy) Stream(external, local []Record, yield func(Pair) bool) {
-	_ = c.scan(context.Background(), external, local, yield)
+	return ps.slice()
 }
 
 // Name implements Method.
@@ -207,5 +162,3 @@ func diceOverlap(a, b map[string]struct{}) float64 {
 	}
 	return 2 * float64(inter) / float64(len(a)+len(b))
 }
-
-var _ Streamer = Canopy{}

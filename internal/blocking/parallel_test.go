@@ -1,7 +1,6 @@
 package blocking
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -50,19 +49,6 @@ func TestCanopyParallelDeterminism(t *testing.T) {
 	}
 }
 
-// allStreamers is every blocking method that can feed a streaming
-// matcher (linkage.IDPairSource).
-func allStreamers() []Streamer {
-	return []Streamer{
-		Cartesian{},
-		Standard{Key: PrefixKey(6)},
-		SortedNeighborhood{Window: 5},
-		AdaptiveSortedNeighborhood{Threshold: 0.85},
-		Bigram{Threshold: 0.8, MaxSublists: 16},
-		Canopy{},
-	}
-}
-
 // TestSortedNeighborhoodParallelDeterminism asserts the fanned-out key
 // derivation yields the exact candidate set of the serial method at
 // every worker count.
@@ -76,78 +62,6 @@ func TestSortedNeighborhoodParallelDeterminism(t *testing.T) {
 		got := SortedNeighborhood{Window: 5, Workers: workers}.Pairs(ext, loc)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("SortedNeighborhood workers=%d: %d pairs, serial %d", workers, len(got), len(want))
-		}
-	}
-}
-
-// TestPairsCtxCancellation asserts the cancellable variants observe a
-// dead context instead of discarding it the way Pairs must.
-func TestPairsCtxCancellation(t *testing.T) {
-	ext, loc := parallelFixture(200, 300)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := (Bigram{Threshold: 0.8, MaxSublists: 16}).PairsCtx(ctx, ext, loc); err != context.Canceled {
-		t.Errorf("Bigram.PairsCtx(cancelled) err = %v, want context.Canceled", err)
-	}
-	if _, err := (Canopy{}).PairsCtx(ctx, ext, loc); err != context.Canceled {
-		t.Errorf("Canopy.PairsCtx(cancelled) err = %v, want context.Canceled", err)
-	}
-	// A live context returns the full pair set.
-	got, err := (Bigram{Threshold: 0.8, MaxSublists: 16}).PairsCtx(context.Background(), ext, loc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Bigram{Threshold: 0.8, MaxSublists: 16}.Pairs(ext, loc)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("PairsCtx(live) returned %d pairs, Pairs %d", len(got), len(want))
-	}
-}
-
-// TestStreamMatchesPairs checks that the streaming sources emit exactly
-// the pair set of the materialized method, each pair once.
-func TestStreamMatchesPairs(t *testing.T) {
-	ext, loc := parallelFixture(40, 60)
-	for _, m := range allStreamers() {
-		want := m.Pairs(ext, loc)
-		var got []Pair
-		seen := map[Pair]struct{}{}
-		m.Stream(ext, loc, func(p Pair) bool {
-			if _, dup := seen[p]; dup {
-				t.Fatalf("%s: pair %v emitted twice", m.Name(), p)
-			}
-			seen[p] = struct{}{}
-			got = append(got, p)
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("%s: streamed %d pairs, materialized %d", m.Name(), len(got), len(want))
-		}
-		wantSet := make(map[Pair]struct{}, len(want))
-		for _, p := range want {
-			wantSet[p] = struct{}{}
-		}
-		for _, p := range got {
-			if _, ok := wantSet[p]; !ok {
-				t.Fatalf("%s: streamed pair %v not in materialized set", m.Name(), p)
-			}
-		}
-	}
-}
-
-// TestStreamEarlyStop checks yield=false stops the sources immediately.
-func TestStreamEarlyStop(t *testing.T) {
-	ext, loc := parallelFixture(40, 60)
-	for _, m := range allStreamers() {
-		if len(m.Pairs(ext, loc)) < 5 {
-			continue // not enough pairs on this fixture to exercise the stop
-		}
-		n := 0
-		m.Stream(ext, loc, func(Pair) bool {
-			n++
-			return n < 5
-		})
-		if n != 5 {
-			t.Errorf("%s: yielded %d pairs after stop at 5", m.Name(), n)
 		}
 	}
 }

@@ -34,23 +34,9 @@ type Standard struct {
 	Label string
 }
 
-// Pairs implements Method, by draining Stream into the deduplicated
-// sorted pair set — one blocking implementation, two consumption modes.
+// Pairs implements Method: the local side is indexed into blocks, then
+// each external record is paired with every local record of its block.
 func (s Standard) Pairs(external, local []Record) []Pair {
-	ps := pairSet{}
-	s.Stream(external, local, func(p Pair) bool {
-		ps[p] = struct{}{}
-		return true
-	})
-	return ps.slice()
-}
-
-// Stream implements Streamer: the local side is indexed into blocks
-// (O(|local|) memory), then each external record's block flows through
-// yield without the pair set ever materializing. Every pair is emitted
-// exactly once because an external record probes exactly one block and
-// each local record appears once per block.
-func (s Standard) Stream(external, local []Record, yield func(Pair) bool) {
 	key := s.Key
 	if key == nil {
 		key = PrefixKey(5)
@@ -63,17 +49,17 @@ func (s Standard) Stream(external, local []Record, yield func(Pair) bool) {
 		}
 		blocks[k] = append(blocks[k], r.ID)
 	}
+	ps := pairSet{}
 	for _, e := range external {
 		k := key(e.Key)
 		if k == "" {
 			continue
 		}
 		for _, lid := range blocks[k] {
-			if !yield(Pair{A: e.ID, B: lid}) {
-				return
-			}
+			ps.add(e.ID, lid)
 		}
 	}
+	return ps.slice()
 }
 
 // Name implements Method.
@@ -83,12 +69,6 @@ func (s Standard) Name() string {
 	}
 	return "standard(prefix5)"
 }
-
-// ensure interface satisfaction
-var (
-	_ Streamer = Cartesian{}
-	_ Streamer = Standard{}
-)
 
 // String renders metrics compactly for logs.
 func (m Metrics) String() string {

@@ -15,9 +15,8 @@ import (
 // times; now the first reference pays and the rest share.
 //
 // Entries are reference-counted by the indexedValues that point at
-// them, so the incremental paths (Upsert, Remove, ApplyPatches) keep
-// the cache exactly as large as the live index: a value's entry is
-// dropped when its last referencing item leaves the index. All access
+// them, so ApplyPatches keeps the cache exactly as large as the live
+// index: a value's entry is dropped when its last referencing item leaves the index. All access
 // happens under the engine's state lock — construction and writers hold
 // it exclusively, and the read paths never mutate the cache (prepared
 // patterns are built eagerly at acquire time, not lazily under read

@@ -116,7 +116,7 @@ func TestValueCacheRefcountChurn(t *testing.T) {
 			se.Remove(rdf.T(item, pn, o))
 		}
 		se.Add(rdf.T(item, pn, rdf.NewLiteral(fmt.Sprintf("CHURN-%d", i%3))))
-		eng.Upsert(ExternalSide, item)
+		upsert(eng, ExternalSide, item)
 	}
 	verify("after upsert churn")
 
@@ -144,8 +144,8 @@ func TestValueCacheRefcountChurn(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		loc = append(loc, rdf.NewIRI(fmt.Sprintf("http://ex.org/l/%d", i)))
 	}
-	eng.Remove(ExternalSide, ext...)
-	eng.Remove(LocalSide, loc...)
+	remove(eng, ExternalSide, ext...)
+	remove(eng, LocalSide, loc...)
 	if got := vc.Size(); got != 0 {
 		t.Fatalf("cache holds %d entries after removing every item, want 0", got)
 	}

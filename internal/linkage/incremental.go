@@ -20,66 +20,6 @@ func (s Side) String() string {
 	return "local"
 }
 
-// Upsert re-reads each item's comparator property values from the
-// engine's graph on the given side and updates the value index in place,
-// so a live graph never forces a full New rebuild. Call it after adding,
-// changing or deleting an item's triples; an item with no remaining
-// comparator values is dropped from the index (making Upsert subsume
-// Remove for deleted items).
-//
-// The index's recorded graph version advances to the graph's current
-// Version, so the caller's contract is: mutate the graph, then Upsert
-// every item touched since the last Upsert. Safe to call concurrently
-// with queries — readers block for the duration of the update and then
-// observe all of it.
-func (e *Engine) Upsert(side Side, items ...rdf.Term) {
-	st := e.st
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	g := st.graph(side)
-	for ci := range st.comps {
-		c := &st.comps[ci]
-		m, prop := c.sideIndex(side)
-		for _, item := range items {
-			// Acquire the new values before releasing the old ones, so a
-			// value present in both keeps its cache entry warm instead of
-			// being dropped and rebuilt.
-			vals := itemValues(g, item, prop, st.cache, c.slot)
-			old := m[item]
-			if len(vals) == 0 {
-				delete(m, item)
-			} else {
-				m[item] = vals
-			}
-			st.cache.release(old)
-		}
-	}
-	st.syncVersion(side)
-}
-
-// Remove drops the items from the value index on the given side without
-// consulting the graph. Equivalent to Upsert after the items' triples
-// were removed, but never re-reads, so it also works when the graph still
-// holds the triples (soft-deleting an item from linking only). A soft
-// delete lives only as long as this index: anything that rebuilds the
-// engine from the graphs (linkage.New, e.g. via a Pipeline cache miss on
-// a comparator change) re-indexes the item. To delete durably, remove
-// the triples from the graph before calling Remove or Upsert.
-func (e *Engine) Remove(side Side, items ...rdf.Term) {
-	st := e.st
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for ci := range st.comps {
-		c := &st.comps[ci]
-		m, _ := c.sideIndex(side)
-		for _, item := range items {
-			st.cache.release(m[item])
-			delete(m, item)
-		}
-	}
-	st.syncVersion(side)
-}
-
 // IndexPatch is one batched value-index mutation: re-index (or with
 // Remove, drop) Items on Side. A slice of patches expresses an ordered
 // mixed upsert/remove batch for ApplyPatches.
@@ -89,13 +29,20 @@ type IndexPatch struct {
 	Items  []rdf.Term
 }
 
-// ApplyPatches applies an ordered sequence of upsert/remove patches
-// under ONE acquisition of the index lock, so a 10k-item bulk load
-// blocks readers once instead of once per sub-op. Semantics per patch
-// match Upsert (Remove=false: re-read from the graph, dropping items
-// with no remaining values) and Remove (Remove=true: drop without
-// consulting the graph); each touched side's recorded graph version
-// advances once at the end.
+// ApplyPatches applies an ordered sequence of upsert/remove patches to
+// the value index in place, under ONE acquisition of the index lock, so
+// a live graph never forces a full New rebuild and a 10k-item bulk load
+// blocks readers once. An upsert patch (Remove=false) re-reads each
+// item's comparator values from the engine's graph on its side: call it
+// after adding, changing or deleting an item's triples; an item with no
+// remaining values is dropped. A remove patch drops the items without
+// consulting the graph, so it also soft-deletes items whose triples are
+// still present — until anything rebuilds the engine from the graphs
+// (New) and re-indexes them. Each touched side's recorded graph version
+// advances to the graph's current Version once at the end, so the
+// caller's contract is: mutate the graph, then patch every item touched
+// since the last call. Safe to call concurrently with queries — readers
+// block for the duration of the update and then observe all of it.
 func (e *Engine) ApplyPatches(patches []IndexPatch) {
 	st := e.st
 	st.mu.Lock()
@@ -112,6 +59,9 @@ func (e *Engine) ApplyPatches(patches []IndexPatch) {
 					delete(m, item)
 					continue
 				}
+				// Acquire the new values before releasing the old ones, so a
+				// value present in both keeps its cache entry warm instead
+				// of being dropped and rebuilt.
 				vals := itemValues(g, item, prop, st.cache, c.slot)
 				old := m[item]
 				if len(vals) == 0 {
@@ -134,20 +84,11 @@ func (e *Engine) ApplyPatches(patches []IndexPatch) {
 
 // Versions returns the external and local graph versions the value index
 // currently reflects: the Version() observed at New, advanced by each
-// Upsert/Remove on the respective side.
+// ApplyPatches on the respective side.
 func (e *Engine) Versions() (ext, loc uint64) {
 	e.st.mu.RLock()
 	defer e.st.mu.RUnlock()
 	return e.st.extVer, e.st.locVer
-}
-
-// Fresh reports whether the index reflects the current versions of both
-// underlying graphs, i.e. no graph mutation since the last Upsert/Remove
-// (or New) is still unindexed.
-func (e *Engine) Fresh() bool {
-	e.st.mu.RLock()
-	defer e.st.mu.RUnlock()
-	return e.st.extVer == graphVersion(e.st.se) && e.st.locVer == graphVersion(e.st.sl)
 }
 
 func (st *engineState) graph(side Side) *rdf.Graph {

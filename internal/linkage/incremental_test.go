@@ -1,7 +1,6 @@
 package linkage
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -21,6 +20,23 @@ func incrementalConfig() Config {
 		Threshold: 0.2,
 		Workers:   2,
 	}
+}
+
+// upsert re-indexes items on side through a one-patch ApplyPatches.
+func upsert(e *Engine, side Side, items ...rdf.Term) {
+	e.ApplyPatches([]IndexPatch{{Side: side, Items: items}})
+}
+
+// remove drops items on side through a one-patch ApplyPatches.
+func remove(e *Engine, side Side, items ...rdf.Term) {
+	e.ApplyPatches([]IndexPatch{{Side: side, Remove: true, Items: items}})
+}
+
+// current reports whether e's index reflects the graphs' present
+// versions, i.e. no graph mutation is still unpatched.
+func current(e *Engine, se, sl *rdf.Graph) bool {
+	ext, loc := e.Versions()
+	return ext == se.Version() && loc == sl.Version()
 }
 
 // rebuildEqual asserts that the incrementally maintained engine scores
@@ -47,7 +63,7 @@ func TestUpsertMatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eng.Fresh() {
+	if !current(eng, se, sl) {
 		t.Fatal("new engine must be fresh")
 	}
 
@@ -57,11 +73,11 @@ func TestUpsertMatchesRebuild(t *testing.T) {
 		se.Remove(rdf.T(e0, pn, o))
 	}
 	se.Add(rdf.T(e0, pn, rdf.NewLiteral("CHANGED-0815")))
-	if eng.Fresh() {
+	if current(eng, se, sl) {
 		t.Fatal("engine must report stale after graph mutation")
 	}
-	eng.Upsert(ExternalSide, e0)
-	if !eng.Fresh() {
+	upsert(eng, ExternalSide, e0)
+	if !current(eng, se, sl) {
 		t.Fatal("engine must report fresh after Upsert")
 	}
 	rebuildEqual(t, eng, se, sl, pairs)
@@ -71,7 +87,7 @@ func TestUpsertMatchesRebuild(t *testing.T) {
 	sl.Add(rdf.T(lNew, pn, rdf.NewLiteral("CHANGED-0815")))
 	sl.Add(rdf.T(lNew, pn, rdf.NewLiteral("CHANGED-0816")))
 	sl.Add(rdf.T(lNew, label, rdf.NewLiteral("changed item label")))
-	eng.Upsert(LocalSide, lNew)
+	upsert(eng, LocalSide, lNew)
 	augmented := append(append([][2]rdf.Term{}, pairs...), [2]rdf.Term{e0, lNew})
 	rebuildEqual(t, eng, se, sl, augmented)
 	// pn matches exactly (weight 2), labels differ (weight 1): score 2/3.
@@ -84,12 +100,12 @@ func TestUpsertMatchesRebuild(t *testing.T) {
 	for _, tr := range sl.Find(l0, rdf.Term{}, rdf.Term{}) {
 		sl.Remove(tr)
 	}
-	eng.Upsert(LocalSide, l0)
+	upsert(eng, LocalSide, l0)
 	rebuildEqual(t, eng, se, sl, augmented)
 
 	// Non-literal objects must be ignored exactly like at construction.
 	se.Add(rdf.T(e0, pn, rdf.NewIRI("http://ex.org/not-a-literal")))
-	eng.Upsert(ExternalSide, e0)
+	upsert(eng, ExternalSide, e0)
 	rebuildEqual(t, eng, se, sl, augmented)
 }
 
@@ -103,8 +119,8 @@ func TestRemoveDropsItems(t *testing.T) {
 	}
 	e0 := rdf.NewIRI("http://ex.org/e/0")
 	l0 := rdf.NewIRI("http://ex.org/l/0")
-	eng.Remove(ExternalSide, e0)
-	eng.Remove(LocalSide, l0)
+	remove(eng, ExternalSide, e0)
+	remove(eng, LocalSide, l0)
 	if got := eng.Score(e0, l0); got != 0 {
 		t.Fatalf("score of removed items = %v, want 0", got)
 	}
@@ -120,8 +136,8 @@ func TestRemoveDropsItems(t *testing.T) {
 		break
 	}
 	// Re-adding via Upsert restores the items from the intact graphs.
-	eng.Upsert(ExternalSide, e0)
-	eng.Upsert(LocalSide, l0)
+	upsert(eng, ExternalSide, e0)
+	upsert(eng, LocalSide, l0)
 	fresh, _ := New(eng.cfg, se, sl)
 	if got, want := eng.Score(e0, l0), fresh.Score(e0, l0); got != want {
 		t.Fatalf("Upsert after Remove: %v != %v", got, want)
@@ -150,8 +166,8 @@ func TestUpsertSharedWithOptions(t *testing.T) {
 	}
 	se.Add(rdf.T(e0, pn, rdf.NewLiteral("SHARED-1")))
 	sl.Add(rdf.T(l0, pn, rdf.NewLiteral("SHARED-1")))
-	eng.Upsert(ExternalSide, e0)
-	eng.Upsert(LocalSide, l0)
+	upsert(eng, ExternalSide, e0)
+	upsert(eng, LocalSide, l0)
 	if s := derived.Score(e0, l0); s < 0.6 {
 		t.Fatalf("derived engine does not see upsert: score %v", s)
 	}
@@ -161,10 +177,10 @@ func TestUpsertSharedWithOptions(t *testing.T) {
 	}
 }
 
-// TestConcurrentQueryUnderUpdate interleaves Upsert/Remove with LinkBest,
-// ScorePairsCtx and StreamPairs from several goroutines. Run under -race
-// this is the engine's core liveness/consistency test: queries must never
-// observe a torn index, and every returned score must be a valid score
+// TestConcurrentQueryUnderUpdate interleaves upsert and remove patches
+// with LinkBest, ScorePairs and TopK from several goroutines. Run under
+// -race this is the engine's core liveness/consistency test: queries
+// must never observe a torn index, and every returned score must be a valid score
 // under some prefix of the update sequence (here simply: no panics, no
 // races, scores within [0, 1]).
 func TestConcurrentQueryUnderUpdate(t *testing.T) {
@@ -190,10 +206,10 @@ func TestConcurrentQueryUnderUpdate(t *testing.T) {
 				se.Remove(rdf.T(item, pn, o))
 			}
 			se.Add(rdf.T(item, pn, rdf.NewLiteral(fmt.Sprintf("LIVE-%d", r))))
-			eng.Upsert(ExternalSide, item)
+			upsert(eng, ExternalSide, item)
 			if r%5 == 0 {
-				eng.Remove(ExternalSide, item)
-				eng.Upsert(ExternalSide, item)
+				remove(eng, ExternalSide, item)
+				upsert(eng, ExternalSide, item)
 			}
 		}
 	}()
@@ -215,22 +231,13 @@ func TestConcurrentQueryUnderUpdate(t *testing.T) {
 				case 0:
 					check(eng.LinkBest(cands))
 				case 1:
-					ms, err := eng.ScorePairsCtx(context.Background(), pairs)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					check(ms)
+					check(eng.ScorePairs(pairs))
 				default:
-					var ms []Match
-					if err := eng.StreamPairs(context.Background(), MaterializedPairs(pairs), func(m Match) bool {
-						ms = append(ms, m)
-						return true
-					}); err != nil {
-						t.Error(err)
-						return
+					// The served read path: one item's top-k over its
+					// candidates.
+					for ext, locs := range cands {
+						check(eng.TopK(ext, locs, 3))
 					}
-					check(ms)
 				}
 			}
 		}()

@@ -20,8 +20,8 @@ type indexedValue struct {
 // compiledComparator is one configured comparator with its measure
 // capabilities resolved and both sides' values materialized, so scoring a
 // pair is pure in-memory slice work — no graph access, no re-tokenizing.
-// The property terms are retained so Upsert can re-read a single item's
-// values from a live graph.
+// The property terms are retained so ApplyPatches can re-read a single
+// item's values from a live graph.
 type compiledComparator struct {
 	weight  float64
 	measure similarity.Measure
@@ -113,7 +113,7 @@ func buildValueIndex(g *rdf.Graph, prop rdf.Term, cache *valueCache, slot int) m
 
 // itemValues re-reads one item's literal values under prop, producing the
 // same indexed representation buildValueIndex would — the unit of work of
-// an incremental Upsert.
+// an incremental upsert patch.
 func itemValues(g *rdf.Graph, item, prop rdf.Term, cache *valueCache, slot int) []indexedValue {
 	var objs []rdf.Term
 	if g != nil {

@@ -36,23 +36,18 @@
 //     matches into a dedicated result slot, and the chunks are
 //     concatenated in order and sorted under the same total order as the
 //     serial path. Output is byte-identical to Workers=1 on the same
-//     input. The Ctx variants additionally observe context cancellation
-//     between chunks, so a dropped service request stops in-flight
-//     scoring.
+//     input.
 //
 // # Live engines
 //
-// The value index is mutable after construction: Upsert and Remove
-// (internal/linkage/incremental.go) re-index single items in place,
-// guarded by an RWMutex so concurrent ScorePairs/LinkBest readers always
-// observe a consistent snapshot — each read operation holds the read
-// lock end-to-end (the streaming variants per scoring batch), and
-// writers are excluded for its duration. The index
-// records the rdf.Graph.Version counters it reflects, letting callers
-// that cache engines (Pipeline) detect staleness without rebuilding.
-// StreamPairs and LinkBestStream (internal/linkage/stream.go) score
-// candidate pairs produced by an iterator in bounded memory, so huge
-// candidate spaces never materialize [][2]Term.
+// The value index is mutable after construction: ApplyPatches
+// (internal/linkage/incremental.go) re-indexes or drops items in place,
+// guarded by an RWMutex so concurrent Score/ScorePairs/LinkBest/TopK
+// readers always observe a consistent snapshot — each read operation
+// holds the read lock end-to-end, and writers are excluded for its
+// duration. The index records the rdf.Graph.Version counters it
+// reflects, letting callers that cache engines (Pipeline) detect
+// staleness without rebuilding.
 package linkage
 
 import (
@@ -123,9 +118,9 @@ func (c Config) Validate() error {
 
 // Engine scores and links pairs between two graphs. Construction
 // snapshots every comparator property's values into the engine's value
-// index; the graphs are consulted again only by Upsert, which re-indexes
-// individual items from them. Safe for concurrent use, including queries
-// running concurrently with Upsert/Remove.
+// index; the graphs are consulted again only by ApplyPatches, which
+// re-indexes individual items from them. Safe for concurrent use,
+// including queries running concurrently with ApplyPatches.
 type Engine struct {
 	cfg Config
 	// st is the mutable value index, shared with every engine derived via
@@ -134,9 +129,9 @@ type Engine struct {
 }
 
 // engineState is the shared, mutable half of an engine: the compiled
-// value index, the live graph references Upsert re-reads from, and the
-// graph versions the index currently reflects. mu serializes writers
-// (Upsert, Remove) against the read paths, each of which holds the read
+// value index, the live graph references ApplyPatches re-reads from, and
+// the graph versions the index currently reflects. mu serializes writers
+// (ApplyPatches) against the read paths, each of which holds the read
 // lock for the duration of one query so it sees a consistent snapshot.
 type engineState struct {
 	mu    sync.RWMutex
@@ -156,7 +151,7 @@ type engineState struct {
 // New builds an engine over the external and local graphs, materializing
 // the value index (see the package comment). Mutations to the graphs
 // after New are not observed by the engine until the mutated items are
-// passed to Upsert or Remove.
+// passed to ApplyPatches.
 func New(cfg Config, se, sl *rdf.Graph) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -270,26 +265,15 @@ type Match struct {
 // The work is spread across Config.Workers goroutines; output is
 // identical for every worker count.
 func (e *Engine) ScorePairs(pairs [][2]rdf.Term) []Match {
-	out, _ := e.ScorePairsCtx(context.Background(), pairs)
-	return out
-}
-
-// ScorePairsCtx is ScorePairs with cooperative cancellation: when ctx is
-// cancelled mid-run, in-flight chunks finish, the rest are skipped, and
-// ctx.Err() is returned with a nil slice.
-func (e *Engine) ScorePairsCtx(ctx context.Context, pairs [][2]rdf.Term) ([]Match, error) {
 	st := e.st
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	out, err := par.MapChunks(ctx, e.workers(), chunkSize, pairs, func(p [2]rdf.Term) (Match, bool) {
+	out, _ := par.MapChunks(context.Background(), e.workers(), chunkSize, pairs, func(p [2]rdf.Term) (Match, bool) {
 		s := st.score(p[0], p[1])
 		return Match{External: p[0], Local: p[1], Score: s}, s >= e.cfg.Threshold
 	})
-	if err != nil {
-		return nil, err
-	}
-	sortMatches(out)
-	return out, nil
+	SortMatches(out)
+	return out
 }
 
 // LinkBest performs one-to-one greedy linking: every external item is
@@ -298,13 +282,6 @@ func (e *Engine) ScorePairsCtx(ctx context.Context, pairs [][2]rdf.Term) ([]Matc
 // per-item searches are spread across Config.Workers goroutines; output
 // is identical for every worker count.
 func (e *Engine) LinkBest(candidates map[rdf.Term][]rdf.Term) []Match {
-	out, _ := e.LinkBestCtx(context.Background(), candidates)
-	return out
-}
-
-// LinkBestCtx is LinkBest with cooperative cancellation, following the
-// contract of ScorePairsCtx.
-func (e *Engine) LinkBestCtx(ctx context.Context, candidates map[rdf.Term][]rdf.Term) ([]Match, error) {
 	exts := make([]rdf.Term, 0, len(candidates))
 	for ext := range candidates {
 		exts = append(exts, ext)
@@ -312,14 +289,11 @@ func (e *Engine) LinkBestCtx(ctx context.Context, candidates map[rdf.Term][]rdf.
 	st := e.st
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	out, err := par.MapChunks(ctx, e.workers(), chunkSize, exts, func(ext rdf.Term) (Match, bool) {
+	out, _ := par.MapChunks(context.Background(), e.workers(), chunkSize, exts, func(ext rdf.Term) (Match, bool) {
 		return st.bestFor(ext, candidates[ext], e.cfg.Threshold)
 	})
-	if err != nil {
-		return nil, err
-	}
-	sortMatches(out)
-	return out, nil
+	SortMatches(out)
+	return out
 }
 
 // bestFor returns ext's best-scoring candidate among locs and whether it
@@ -348,14 +322,16 @@ func (e *Engine) TopK(ext rdf.Term, locs []rdf.Term, k int) []Match {
 			out = append(out, Match{External: ext, Local: loc, Score: s})
 		}
 	}
-	sortMatches(out)
+	SortMatches(out)
 	if k > 0 && len(out) > k {
 		out = out[:k]
 	}
 	return out
 }
 
-func sortMatches(ms []Match) {
+// SortMatches sorts matches into the engine's match order: descending
+// score, ties broken by external then local term.
+func SortMatches(ms []Match) {
 	sort.Slice(ms, func(i, j int) bool {
 		if ms[i].Score != ms[j].Score {
 			return ms[i].Score > ms[j].Score

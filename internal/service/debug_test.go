@@ -112,7 +112,7 @@ func TestDebugRequestsTailRetention(t *testing.T) {
 	for _, st := range slow.Stages {
 		stages[st.Stage] = st.Seconds
 	}
-	for _, want := range []string{"engine", "blocking", "scoring"} {
+	for _, want := range []string{"engine", "classify", "expand", "scoring"} {
 		if _, ok := stages[want]; !ok {
 			t.Fatalf("stage %q missing from trace: %+v", want, slow.Stages)
 		}

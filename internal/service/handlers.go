@@ -405,7 +405,7 @@ type linkRequest struct {
 	// Workers overrides the scoring fan-out when set; 0 means all cores.
 	Workers *int `json:"workers,omitempty"`
 	// TopK caps the matches returned per item; 0 means all above the
-	// threshold.
+	// threshold, and a negative value is rejected with 400.
 	TopK int `json:"top_k,omitempty"`
 	// Comparators override Options.DefaultLinker's comparators.
 	Comparators []comparatorSpec `json:"comparators,omitempty"`
@@ -437,6 +437,10 @@ type linkResponse struct {
 func (s *Service) handleLink(w http.ResponseWriter, r *http.Request) {
 	var req linkRequest
 	if !s.decode(w, r, &req) {
+		return
+	}
+	if req.TopK < 0 {
+		writeErr(w, http.StatusBadRequest, "top_k %d is negative; 0 means all matches above the threshold", req.TopK)
 		return
 	}
 	// Load the published snapshot bundle and run the whole query against

@@ -24,7 +24,7 @@ type serviceMetrics struct {
 	rejected  *obs.CounterVec // reason
 	timeouts  *obs.Counter
 	panics    *obs.Counter
-	stages    *obs.HistogramVec // stage: engine, blocking, scoring, learn, publish
+	stages    *obs.HistogramVec // stage: engine, classify, expand, scoring, learn, publish
 }
 
 func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
@@ -44,7 +44,7 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 		panics: reg.Counter("linkrules_http_panics_total",
 			"Handler panics recovered into 500 responses."),
 		stages: reg.HistogramVec("linkrules_stage_seconds",
-			"Pipeline stage durations (engine, blocking, scoring, learn, publish).",
+			"Pipeline stage durations (engine, classify, expand, scoring, learn, publish).",
 			obs.DefBuckets(), "stage"),
 	}
 	// Build identity as the conventional constant-1 info gauge, so every

@@ -205,7 +205,8 @@ func TestMetricsCoverAllLayers(t *testing.T) {
 		"linkrules_http_in_flight 1", // the scrape itself
 		// pipeline layer (stage histograms observed by the link query)
 		`linkrules_stage_seconds_count{stage="scoring"} 1`,
-		`linkrules_stage_seconds_count{stage="blocking"} 1`,
+		`linkrules_stage_seconds_count{stage="classify"} 1`,
+		`linkrules_stage_seconds_count{stage="expand"} 1`,
 		`linkrules_stage_seconds_count{stage="engine"} 1`,
 		`linkrules_stage_seconds_count{stage="learn"}`,
 		`linkrules_stage_seconds_count{stage="publish"}`,
@@ -255,7 +256,7 @@ func TestLinkDebugTimings(t *testing.T) {
 			t.Errorf("stage %s has negative duration", st.Stage)
 		}
 	}
-	for _, stage := range []string{"engine", "blocking", "scoring"} {
+	for _, stage := range []string{"engine", "classify", "expand", "scoring"} {
 		if !got[stage] {
 			t.Errorf("timings missing stage %q (got %+v)", stage, dbg.Timings)
 		}

@@ -297,31 +297,14 @@ func (s *Service) learnBasisLocked(ctx context.Context, b *learnBasis) error {
 	done()
 	s.pipe = datalink.NewPipelineWithModel(m, s.se, s.sl, s.ol)
 	s.basis = b
-	s.freezeInstancesLocked()
 	// Warm the engine cache for the default comparators on the write
-	// path, so default-config queries hit CachedLinker instead of
-	// compiling a value index per request. An invalid default config is
-	// surfaced on the first query that relies on it, not here.
+	// path, so default-config queries reuse it instead of compiling a
+	// value index per request. An invalid default config is surfaced on
+	// the first query that relies on it, not here.
 	if len(s.opts.DefaultLinker.Comparators) > 0 {
 		_ = s.pipe.EnsureLinker(s.opts.DefaultLinker)
 	}
 	return nil
-}
-
-// freezeInstancesLocked warms the instance index memo for every rule
-// class, so the frozen snapshots published to queries answer from the
-// memo instead of recomputing instance unions per request. Incremental
-// upserts invalidate only the entries they affect, so re-warming after a
-// mutation touches just those.
-func (s *Service) freezeInstancesLocked() {
-	if s.pipe == nil {
-		return
-	}
-	classes := make([]datalink.Term, 0, s.pipe.Model.Rules.Len())
-	for _, r := range s.pipe.Model.Rules.Rules {
-		classes = append(classes, r.Class)
-	}
-	s.pipe.Instances.Freeze(classes)
 }
 
 // validateItem rejects malformed item descriptions. Run before any graph

@@ -231,6 +231,34 @@ func TestLinkCancellation(t *testing.T) {
 	}
 }
 
+// TestLinkTopK pins the top_k contract: 0 means every match above the
+// threshold, a positive value caps the list, and a negative value is a
+// 400 instead of silently meaning "all".
+func TestLinkTopK(t *testing.T) {
+	h := corpusService(t).Handler()
+	call(t, h, "POST", "/v1/learn", learnBody(20), nil)
+	matches := func(k int) int {
+		t.Helper()
+		var resp linkResponse
+		req := linkRequest{Items: []string{"http://ex.org/e/r3"}, TopK: k}
+		if rec := call(t, h, "POST", "/v1/link", req, &resp); rec.Code != http.StatusOK {
+			t.Fatalf("top_k %d: %d %s", k, rec.Code, rec.Body)
+		}
+		return len(resp.Results[0].Matches)
+	}
+	all := matches(0)
+	if all < 2 {
+		t.Fatalf("top_k 0 returned %d matches, want every match above the threshold (>= 2)", all)
+	}
+	if got := matches(1); got != 1 {
+		t.Fatalf("top_k 1 returned %d matches", got)
+	}
+	rec := call(t, h, "POST", "/v1/link", linkRequest{Items: []string{"http://ex.org/e/r3"}, TopK: -1}, nil)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "top_k") {
+		t.Fatalf("top_k -1: %d %s, want 400 naming top_k", rec.Code, rec.Body)
+	}
+}
+
 func TestUpsertThenLinkSeesNewItem(t *testing.T) {
 	h := corpusService(t).Handler()
 	call(t, h, "POST", "/v1/learn", learnBody(20), nil)

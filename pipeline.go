@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/linkage"
@@ -38,16 +39,6 @@ const (
 	LocalSide = linkage.LocalSide
 )
 
-// PairSource streams candidate pairs into a matcher without
-// materializing them.
-type PairSource = linkage.PairSource
-
-// CandidateGroup is one external item's streamable candidate list.
-type CandidateGroup = linkage.CandidateGroup
-
-// GroupSource streams per-item candidate groups into a matcher.
-type GroupSource = linkage.GroupSource
-
 // LinkResult is the confusion summary of declared links vs ground truth.
 type LinkResult = linkage.Result
 
@@ -77,15 +68,12 @@ var ErrLinkerConfig = linkage.ErrConfig
 // for each new external item predict classes, build the reduced linking
 // space, and (optionally) run a matcher inside it.
 //
-// Concurrency: the Pipeline's own query methods (Classify, ReducedSpace,
-// LinkWithin, LinkTopK) read the live graphs and instance index, so they
-// must be serialized against the mutation methods (Upsert, RemoveItems,
-// RefreshInstances) by the caller. For lock-free queries under a live
-// write path, take a Snapshot: the returned QueryView reads frozen
+// Concurrency: the Pipeline's own methods read the live graphs and
+// instance index, so they must be serialized by the caller against graph
+// mutations and ApplyPatches. For lock-free queries under a live write
+// path, take a Snapshot: the returned QueryView reads frozen
 // copy-on-write state and may run concurrently with any later mutation —
 // internal/service publishes one per mutation via an atomic pointer.
-// Only the linkage engine underneath is safe for unsynchronized
-// query-under-update on its own.
 type Pipeline struct {
 	Model      *Model
 	Classifier *Classifier
@@ -93,13 +81,12 @@ type Pipeline struct {
 
 	se *Graph
 	sl *Graph
-	ol *Ontology
 
-	// linker caches the value-indexed engine of the last LinkWithin
-	// config: repeated calls (incremental per-item linking) reuse the
-	// index instead of re-snapshotting both graphs. The engine itself
-	// tracks the graph versions its index reflects; Upsert keeps it
-	// current item-by-item, so a live graph never forces a rebuild.
+	// linker caches the value-indexed engine of the last config that
+	// needed a build, so repeated links reuse its index. The engine
+	// tracks the graph versions its index reflects, and ApplyPatches
+	// keeps it current item by item, so a live graph never forces a
+	// rebuild.
 	linkerMu  sync.Mutex
 	linker    *linkage.Engine
 	linkerCfg LinkerConfig
@@ -120,21 +107,24 @@ func NewPipeline(cfg LearnerConfig, ts TrainingSet, se, sl *Graph, ol *Ontology)
 // model and corpus independent: the model is recomputed from the exact
 // learn-time state a snapshot preserved, while the pipeline serves the
 // (possibly later-mutated) current graphs — matching a live service
-// whose items changed after its last learn.
+// whose items changed after its last learn. The instance sets of the
+// rule classes are computed here, so snapshots answer them from the
+// memo.
 func NewPipelineWithModel(m *Model, se, sl *Graph, ol *Ontology) *Pipeline {
-	return &Pipeline{
+	p := &Pipeline{
 		Model:      m,
 		Classifier: NewClassifier(&m.Rules, m.Config.Splitter),
 		Instances:  NewInstanceIndex(sl, ol),
 		se:         se,
 		sl:         sl,
-		ol:         ol,
 	}
+	p.warmInstances()
+	return p
 }
 
 // External returns the pipeline's live external graph. Mutate it only
-// under the same serialization as the pipeline's mutation methods, and
-// tell the pipeline via Upsert/RemoveItems afterwards.
+// under the same serialization as ApplyPatches, and tell the pipeline
+// via ApplyPatches afterwards.
 func (p *Pipeline) External() *Graph { return p.se }
 
 // Local returns the pipeline's live local catalog graph, under the same
@@ -154,175 +144,55 @@ func (p *Pipeline) ReducedSpace(item Term) SpaceReport {
 }
 
 // LinkWithin runs the matcher over each item's reduced space and returns
-// the best match per item at or above the configured threshold. The
-// engine value-indexes both graphs up front and scores candidates across
-// cfg.Workers goroutines (0 = all cores); results are deterministic for
-// every worker count.
+// the best match per item at or above the configured threshold, sorted
+// like Engine.LinkBest's output (score descending, then external and
+// local term). It is LinkTopK with k = 1, flattened.
 func (p *Pipeline) LinkWithin(items []Term, cfg LinkerConfig) ([]Match, error) {
-	return p.LinkWithinCtx(context.Background(), items, cfg)
-}
-
-// LinkWithinCtx is LinkWithin with cooperative cancellation: a cancelled
-// ctx stops in-flight scoring (within one work chunk per worker) and
-// returns ctx.Err() — the path a dropped service request takes.
-func (p *Pipeline) LinkWithinCtx(ctx context.Context, items []Term, cfg LinkerConfig) ([]Match, error) {
-	eng, err := p.linkerFor(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("datalink: building linker: %w", err)
-	}
-	cands := map[Term][]Term{}
-	for _, item := range items {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		cands[item] = p.candidatesOf(item)
-	}
-	return eng.LinkBestCtx(ctx, cands)
-}
-
-// LinkTopK returns, for every item, its k best-scoring candidates at or
-// above cfg.Threshold inside the item's reduced linking space (k <= 0
-// means all). The per-item slices follow the engine's match order.
-// Candidate expansion (classification) runs serially; the scoring stage
-// fans out across cfg.Workers goroutines.
-func (p *Pipeline) LinkTopK(ctx context.Context, items []Term, cfg LinkerConfig, k int) (map[Term][]Match, error) {
-	sp := obs.StartSpan(ctx, "engine")
-	eng, err := p.linkerFor(cfg)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("datalink: building linker: %w", err)
-	}
-	sp = obs.StartSpan(ctx, "blocking")
-	cands, err := expandCandidates(ctx, p.Classifier, p.se, p.Instances, items)
-	sp.End()
+	byItem, err := p.LinkTopK(context.Background(), items, cfg, 1)
 	if err != nil {
 		return nil, err
 	}
-	sp = obs.StartSpan(ctx, "scoring")
-	defer sp.End()
-	return topKOver(ctx, eng, cfg.Workers, cands, k)
-}
-
-// itemCands pairs an external item with its expanded local candidates.
-type itemCands struct {
-	item Term
-	locs []Term
-}
-
-// expandCandidates computes every item's reduced-space candidates on the
-// calling goroutine: a live classifier/instance index is not safe for
-// concurrent first-touch, and a frozen one doesn't need the parallelism.
-func expandCandidates(ctx context.Context, cls *Classifier, se *Graph, ix *InstanceIndex, items []Term) ([]itemCands, error) {
-	cands := make([]itemCands, 0, len(items))
-	for _, item := range items {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		cands = append(cands, itemCands{item: item, locs: candidatesIn(cls, se, ix, item)})
+	var out []Match
+	for _, ms := range byItem {
+		out = append(out, ms...)
 	}
-	return cands, nil
-}
-
-// topKOver fans the per-item top-k searches out across workers.
-func topKOver(ctx context.Context, eng *linkage.Engine, workers int, cands []itemCands, k int) (map[Term][]Match, error) {
-	type itemMatches struct {
-		item Term
-		ms   []Match
-	}
-	scored, err := par.MapChunks(ctx, par.Workers(workers), 0, cands, func(c itemCands) (itemMatches, bool) {
-		return itemMatches{item: c.item, ms: eng.TopK(c.item, c.locs, k)}, true
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[Term][]Match, len(scored))
-	for _, im := range scored {
-		out[im.item] = im.ms
-	}
+	linkage.SortMatches(out)
 	return out, nil
 }
 
-// candidatesOf expands one item's reduced space into its local
-// candidates.
-func (p *Pipeline) candidatesOf(item Term) []Term {
-	return candidatesIn(p.Classifier, p.se, p.Instances, item)
-}
-
-// candidatesIn is the shared candidate expansion: classify item against
-// se, build its reduced space over ix, and return the local candidates.
-func candidatesIn(cls *Classifier, se *Graph, ix *InstanceIndex, item Term) []Term {
-	sr := core.Space(item, cls.Classify(item, se), ix)
-	pairs := core.CandidatePairs(sr, ix)
-	locs := make([]Term, 0, len(pairs))
-	for _, pr := range pairs {
-		locs = append(locs, pr[1])
+// LinkTopK makes the cached engine current for cfg (EnsureLinker) and
+// runs QueryView.LinkTopK on a snapshot of the pipeline's current state.
+func (p *Pipeline) LinkTopK(ctx context.Context, items []Term, cfg LinkerConfig, k int) (map[Term][]Match, error) {
+	if err := p.EnsureLinker(cfg); err != nil {
+		return nil, fmt.Errorf("datalink: building linker: %w", err)
 	}
-	return locs
-}
-
-// Upsert re-indexes the given items in the cached linker after the
-// caller mutated the pipeline's graphs, so the next LinkWithin reuses
-// the value index instead of rebuilding it. Local-side changes also
-// update the instance index incrementally, item by item (a class's
-// instance set may have changed) — no full pass over the type triples.
-// A no-op for sides the cached linker does not exist for yet — the first
-// LinkWithin then builds a current index anyway.
-//
-// The contract is all-or-nothing per mutation span: one Upsert call must
-// list every item whose triples changed since the last Upsert, because
-// the linker marks itself current with the graph's version counter —
-// items mutated but not listed would stay stale without triggering a
-// rebuild, silently.
-func (p *Pipeline) Upsert(side Side, items ...Term) {
-	p.linkerMu.Lock()
-	if p.linker != nil {
-		p.linker.Upsert(side, items...)
-	}
-	p.linkerMu.Unlock()
-	if side == LocalSide {
-		for _, item := range items {
-			p.Instances.UpsertInstance(item, p.sl.Objects(item, RDFType))
-		}
-	}
-}
-
-// RemoveItems drops the items from the cached linker's index on the
-// given side (and removes local-side items from the instance index,
-// per item). Unlike Upsert it never re-reads the graphs, so it also
-// soft-deletes items whose triples are still present.
-func (p *Pipeline) RemoveItems(side Side, items ...Term) {
-	p.linkerMu.Lock()
-	if p.linker != nil {
-		p.linker.Remove(side, items...)
-	}
-	p.linkerMu.Unlock()
-	if side == LocalSide {
-		for _, item := range items {
-			p.Instances.RemoveInstance(item)
-		}
-	}
+	return p.Snapshot().LinkTopK(ctx, items, cfg, k)
 }
 
 // Patch is one batched index mutation: re-index (or with Remove, drop)
 // Items on Side. See ApplyPatches.
 type Patch = linkage.IndexPatch
 
-// ApplyPatches applies an ordered mixed upsert/remove batch to the
-// cached linker under ONE lock acquisition (the single-op path takes it
-// per call), then patches the instance index for every local-side
-// entry. This is the pipeline half of the service's batched commit: N
-// items cost one writer-lock round trip and — because the caller
-// publishes once after — one snapshot publish.
+// ApplyPatches tells the pipeline about graph mutations the caller has
+// made. The ordered mixed upsert/remove batch lands in the cached engine
+// under one lock acquisition, every local-side entry patches the
+// instance index, and the memo of the rule classes is then recomputed
+// where a patch invalidated it. One call must list every item whose
+// triples changed since the last call: the engine marks itself current
+// with the graphs' version counters, so an item mutated but not listed
+// would stay stale without forcing a rebuild.
 func (p *Pipeline) ApplyPatches(patches []Patch) {
 	p.linkerMu.Lock()
 	if p.linker != nil {
 		p.linker.ApplyPatches(patches)
 	}
 	p.linkerMu.Unlock()
+	local := false
 	for _, pt := range patches {
 		if pt.Side != LocalSide {
 			continue
 		}
+		local = true
 		for _, item := range pt.Items {
 			if pt.Remove {
 				p.Instances.RemoveInstance(item)
@@ -331,67 +201,73 @@ func (p *Pipeline) ApplyPatches(patches []Patch) {
 			}
 		}
 	}
+	if local {
+		p.warmInstances()
+	}
 }
 
-// UpsertBatch re-indexes items on side as one patch — Upsert's
-// slice-native form for bulk loads.
-func (p *Pipeline) UpsertBatch(side Side, items []Term) {
-	p.ApplyPatches([]Patch{{Side: side, Items: items}})
+// warmInstances computes the instance set of every rule class into the
+// live index's memo, which snapshots share: a frozen index answers a
+// memo miss by recomputing the union on every query. After a local-side
+// patch only the entries it invalidated are recomputed.
+func (p *Pipeline) warmInstances() {
+	classes := make([]Term, 0, p.Model.Rules.Len())
+	for _, r := range p.Model.Rules.Rules {
+		classes = append(classes, r.Class)
+	}
+	p.Instances.Freeze(classes)
 }
 
-// RemoveBatch drops items from the index on side as one patch —
-// RemoveItems' slice-native form for bulk loads.
-func (p *Pipeline) RemoveBatch(side Side, items []Term) {
-	p.ApplyPatches([]Patch{{Side: side, Remove: true, Items: items}})
-}
-
-// RefreshInstances rebuilds the instance index from the current local
-// graph with a full pass over the type triples — the heavyweight
-// fallback when the caller cannot enumerate which items changed
-// (Upsert/RemoveItems maintain the index incrementally and are preferred
-// on known mutations).
-func (p *Pipeline) RefreshInstances() {
-	p.Instances = NewInstanceIndex(p.sl, p.ol)
-}
-
-// EnsureLinker builds (or reuses) the cached engine for cfg, reading the
-// live graphs. It exists for writers that publish QueryViews: warming
-// the cache on the write path guarantees the view's queries never touch
-// live graphs, because CachedLinker hits. Must be serialized with
-// mutations like every other Pipeline mutator.
+// EnsureLinker makes the cached engine serve cfg's comparators over the
+// live graphs: it keeps the cached engine when that one still covers
+// them, else compiles a new one. Writers that publish QueryViews call it
+// on the write path, so the views' queries resolve the engine without a
+// build. Must be serialized with mutations like ApplyPatches.
 func (p *Pipeline) EnsureLinker(cfg LinkerConfig) error {
-	_, err := p.linkerFor(cfg)
-	return err
+	if eng, err := p.reusableEngine(cfg, p.se, p.sl); eng != nil || err != nil {
+		return err
+	}
+	eng, err := linkage.New(cfg, p.se, p.sl)
+	if err != nil {
+		return err
+	}
+	// The comparator slice is copied, so a caller mutating its own slice
+	// in place cannot alias the cache's change detection.
+	cfg.Comparators = append([]Comparator(nil), cfg.Comparators...)
+	p.linkerMu.Lock()
+	p.linker, p.linkerCfg = eng, cfg
+	p.linkerMu.Unlock()
+	return nil
 }
 
-// cachedEngine returns the cached engine when cfg's comparators match
-// the cache (adapting threshold/workers via WithOptions, which shares
-// the index), or nil on any mismatch. It never reads the graphs and
-// never rebuilds, so it is safe on a lock-free query path; freshness is
-// the caller's concern (QueryView checks the engine's versions against
-// its snapshots).
-func (p *Pipeline) cachedEngine(cfg LinkerConfig) *linkage.Engine {
+// reusableEngine returns the cached engine under cfg's threshold and
+// worker count (WithOptions shares its index) when cfg's comparators
+// equal the cache's and the index reflects at least the versions of se
+// and sl — the live graphs or a snapshot of them, one test for both.
+// Otherwise it returns nil; an invalid threshold or worker count is an
+// error wrapping ErrLinkerConfig. Comparators are compared with
+// reflect.DeepEqual, which is always false for measures carrying
+// function values (similarity.Func closures): such configs work but
+// compile an engine on every call.
+func (p *Pipeline) reusableEngine(cfg LinkerConfig, se, sl *Graph) (*linkage.Engine, error) {
 	p.linkerMu.Lock()
-	defer p.linkerMu.Unlock()
-	if p.linker == nil || !reflect.DeepEqual(cfg.Comparators, p.linkerCfg.Comparators) {
-		return nil
+	eng, cached := p.linker, p.linkerCfg.Comparators
+	p.linkerMu.Unlock()
+	if eng == nil || !reflect.DeepEqual(cfg.Comparators, cached) {
+		return nil, nil
 	}
-	if cfg.Threshold == p.linkerCfg.Threshold && cfg.Workers == p.linkerCfg.Workers {
-		return p.linker
+	if ext, loc := eng.Versions(); ext < se.Version() || loc < sl.Version() {
+		return nil, nil
 	}
-	eng, err := p.linker.WithOptions(cfg.Threshold, cfg.Workers)
-	if err != nil {
-		return nil
-	}
-	return eng
+	return eng.WithOptions(cfg.Threshold, cfg.Workers)
 }
 
 // QueryView is an immutable point-in-time view of a pipeline for
 // lock-free queries: classification and candidate expansion read frozen
 // copy-on-write snapshots of the graphs and the instance index, so those
 // reads never tear while the live pipeline keeps mutating. Scoring
-// prefers the pipeline's shared live engine (internally synchronized and
-// kept fresh by Upsert/RemoveItems): a mutation landing mid-query may be
+// prefers the pipeline's cached engine (internally synchronized and kept
+// current by ApplyPatches): a mutation landing mid-query may be
 // reflected in scores computed after it, but each pair's score is atomic
 // under the engine's lock and never mixes an item's old and new values.
 // When the requested comparators don't match the cached engine — or the
@@ -442,37 +318,28 @@ func (v *QueryView) ReducedSpace(item Term) SpaceReport {
 	return core.Space(item, v.Classify(item), v.ix)
 }
 
-// engineFor resolves the scoring engine for cfg: the pipeline's shared
-// live engine when the comparators match the cache and its index is at
-// least as new as this view's snapshots, else a request-scoped engine
-// compiled from the frozen snapshots (never the live graphs, which may
-// be mutating concurrently).
-func (v *QueryView) engineFor(cfg LinkerConfig) (*linkage.Engine, error) {
-	if eng := v.p.cachedEngine(cfg); eng != nil {
-		ext, loc := eng.Versions()
-		if ext >= v.se.Version() && loc >= v.sl.Version() {
-			return eng, nil
-		}
-	}
-	return linkage.New(cfg, v.se, v.sl)
-}
-
-// LinkTopK is Pipeline.LinkTopK against the view's frozen state: every
-// candidate expansion reads the snapshots, and no lock beyond the
-// engine's internal per-batch read lock is held while scoring runs.
-// When the context carries an obs.Trace, the engine-resolution,
-// blocking and scoring stages are timed into it; without one the spans
-// are free.
+// LinkTopK returns, for every item, its k best-scoring candidates at or
+// above cfg.Threshold inside the item's reduced linking space (k <= 0
+// means all), each slice in the engine's match order. It is the one
+// link path: resolve the engine, classify and expand every item against
+// the snapshots, then score. Classification and expansion run serially;
+// scoring fans out across cfg.Workers goroutines over chunks of
+// par.DefaultChunk items, so a query of that many items or fewer scores
+// on one goroutine. No lock beyond the engine's internal read lock is
+// held while scoring runs. When the context carries an obs.Trace, the
+// engine, classify, expand and scoring stages are timed into it; without
+// one the clock is never read.
 func (v *QueryView) LinkTopK(ctx context.Context, items []Term, cfg LinkerConfig, k int) (map[Term][]Match, error) {
 	sp := obs.StartSpan(ctx, "engine")
-	eng, err := v.engineFor(cfg)
+	eng, err := v.p.reusableEngine(cfg, v.se, v.sl)
+	if eng == nil && err == nil {
+		eng, err = linkage.New(cfg, v.se, v.sl)
+	}
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("datalink: building linker: %w", err)
 	}
-	sp = obs.StartSpan(ctx, "blocking")
-	cands, err := expandCandidates(ctx, v.p.Classifier, v.se, v.ix, items)
-	sp.End()
+	cands, err := v.expand(ctx, items)
 	if err != nil {
 		return nil, err
 	}
@@ -481,63 +348,65 @@ func (v *QueryView) LinkTopK(ctx context.Context, items []Term, cfg LinkerConfig
 	return topKOver(ctx, eng, cfg.Workers, cands, k)
 }
 
-// LinkWithinCtx is Pipeline.LinkWithinCtx against the view's frozen
-// state.
-func (v *QueryView) LinkWithinCtx(ctx context.Context, items []Term, cfg LinkerConfig) ([]Match, error) {
-	eng, err := v.engineFor(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("datalink: building linker: %w", err)
-	}
-	cands := map[Term][]Term{}
+// itemCands pairs an external item with its expanded local candidates.
+type itemCands struct {
+	item Term
+	locs []Term
+}
+
+// expand classifies every item against the view's external snapshot and
+// expands its reduced space over the frozen instance index into local
+// candidates, on the calling goroutine. With a trace in ctx, the summed
+// per-item classify and expand times land in it as two stages.
+func (v *QueryView) expand(ctx context.Context, items []Term) ([]itemCands, error) {
+	tr := obs.TraceFrom(ctx)
+	var classify, expand time.Duration
+	var t0, t1 time.Time
+	cands := make([]itemCands, 0, len(items))
 	for _, item := range items {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cands[item] = candidatesIn(v.p.Classifier, v.se, v.ix, item)
+		if tr != nil {
+			t0 = time.Now()
+		}
+		preds := v.p.Classifier.Classify(item, v.se)
+		if tr != nil {
+			t1 = time.Now()
+			classify += t1.Sub(t0)
+		}
+		pairs := core.CandidatePairs(core.Space(item, preds, v.ix), v.ix)
+		locs := make([]Term, len(pairs))
+		for i, pr := range pairs {
+			locs[i] = pr[1]
+		}
+		if tr != nil {
+			expand += time.Since(t1)
+		}
+		cands = append(cands, itemCands{item: item, locs: locs})
 	}
-	return eng.LinkBestCtx(ctx, cands)
+	tr.Observe("classify", classify)
+	tr.Observe("expand", expand)
+	return cands, nil
 }
 
-// linkerFor returns the engine for cfg, reusing the cached value index
-// when possible: unchanged config hits the cache outright, and a config
-// differing only in threshold or worker count shares the cached index
-// via WithOptions. A comparator change forces a rebuild, as does a graph
-// mutation the engine was not told about via Upsert/RemoveItems (the
-// engine tracks the graph versions its index reflects). Comparators are
-// compared with reflect.DeepEqual, which is always false for measures
-// carrying function values (similarity.Func closures): those configs
-// still work but rebuild the index every call, like the pre-cache engine
-// did.
-func (p *Pipeline) linkerFor(cfg LinkerConfig) (*linkage.Engine, error) {
-	p.linkerMu.Lock()
-	defer p.linkerMu.Unlock()
-	if p.linker != nil && p.linker.Fresh() && reflect.DeepEqual(cfg.Comparators, p.linkerCfg.Comparators) {
-		if cfg.Threshold == p.linkerCfg.Threshold && cfg.Workers == p.linkerCfg.Workers {
-			return p.linker, nil
-		}
-		eng, err := p.linker.WithOptions(cfg.Threshold, cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
-		p.linker = eng
-		p.storeLinkerCfg(cfg)
-		return eng, nil
+// topKOver fans the per-item top-k searches out across workers.
+func topKOver(ctx context.Context, eng *linkage.Engine, workers int, cands []itemCands, k int) (map[Term][]Match, error) {
+	type itemMatches struct {
+		item Term
+		ms   []Match
 	}
-	eng, err := linkage.New(cfg, p.se, p.sl)
+	scored, err := par.MapChunks(ctx, par.Workers(workers), 0, cands, func(c itemCands) (itemMatches, bool) {
+		return itemMatches{item: c.item, ms: eng.TopK(c.item, c.locs, k)}, true
+	})
 	if err != nil {
 		return nil, err
 	}
-	p.linker = eng
-	p.storeLinkerCfg(cfg)
-	return eng, nil
-}
-
-// storeLinkerCfg records the cached engine's config with the comparator
-// slice defensively copied, so a caller mutating its own slice in place
-// cannot alias the cache's change detection.
-func (p *Pipeline) storeLinkerCfg(cfg LinkerConfig) {
-	cfg.Comparators = append([]Comparator(nil), cfg.Comparators...)
-	p.linkerCfg = cfg
+	out := make(map[Term][]Match, len(scored))
+	for _, im := range scored {
+		out[im.item] = im.ms
+	}
+	return out, nil
 }
 
 // Generalize applies the subsumption extension to the pipeline's model
